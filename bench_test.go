@@ -283,9 +283,8 @@ func BenchmarkLoopbackTraced(b *testing.B) {
 // steady state: one reused channel, 64 MB per iteration across 4
 // striped streams, with the server's CRC sidecar warm after the first
 // iteration. Beyond throughput it reports writes_per_block — vectored
-// write batches issued per block served, where 1.0 means every block
-// cost exactly one writev (header coalesced) and below 1.0 means
-// backlog batching merged blocks — and crc_hit_pct, the share of
+// writes issued per block served, which is 1.0 because every block is
+// exactly one header+payload writev — and crc_hit_pct, the share of
 // blocks whose checksum came from the sidecar instead of a hash pass.
 func BenchmarkLoopbackVectored(b *testing.B) {
 	ds := dataset.NewGenerator(1).Uniform(16, 4*units.MB)

@@ -37,20 +37,16 @@ func main() {
 	block := flag.Int("block", proto.DefaultBlockSize, "striping block size in bytes")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /events on this address (e.g. :7633)")
 	stallTimeout := flag.Duration("stall-timeout", 0, "tear down sessions whose control/data writes stall this long (0 disables)")
-	writevBatch := flag.Int("writev-batch", 0, "max blocks gathered into one vectored write on unshaped streams (0 = default 8, 1 disables batching)")
-	crcCache := flag.Bool("crc-cache", true, "cache per-file block CRCs so repeat serves of unchanged files skip re-hashing")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "on the first SIGINT/SIGTERM, stop accepting sessions and wait up to this long for in-flight transfers before closing")
 	traceOut := flag.String("trace", "", "record the JSONL event stream with server-side spans to this file (replay with xfertrace)")
 	pprof := flag.Bool("pprof", false, "with -metrics-addr: expose net/http/pprof under /debug/pprof/ on the metrics address")
 	flag.Parse()
 
 	cfg := proto.ServerConfig{
-		ControlRTT:      *rtt,
-		BlockSize:       *block,
-		StallTimeout:    *stallTimeout,
-		MaxBatchBlocks:  *writevBatch,
-		DisableCRCCache: !*crcCache,
-		Logf:            log.Printf,
+		ControlRTT:   *rtt,
+		BlockSize:    *block,
+		StallTimeout: *stallTimeout,
+		Logf:         log.Printf,
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -120,18 +116,21 @@ func main() {
 		log.Fatal("xferd: one of -root or -synth is required")
 	}
 
+	// Graceful drain: the first signal refuses new sessions and lets the
+	// in-flight ones finish under -drain-timeout; a second signal at ANY
+	// point — including while Drain/Close is still running — force-exits
+	// immediately instead of being swallowed by a blocked shutdown. The
+	// handlers go in before the server starts, so a signal that follows
+	// the "listening on" line (the readiness contract) always drains.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+
 	srv, err := proto.ListenAndServe(*addr, cfg)
 	if err != nil {
 		log.Fatalf("xferd: %v", err)
 	}
 	log.Printf("xferd: listening on %s", srv.Addr())
 
-	// Graceful drain: the first signal refuses new sessions and lets the
-	// in-flight ones finish under -drain-timeout; a second signal at ANY
-	// point — including while Drain/Close is still running — force-exits
-	// immediately instead of being swallowed by a blocked shutdown.
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	first := <-sig
 	log.Printf("xferd: %v: draining (waiting up to %v for in-flight sessions; signal again to force exit)", first, *drainTimeout)
 	drained := make(chan error, 1)

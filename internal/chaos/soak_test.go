@@ -262,17 +262,16 @@ func TestChaosSoakSeededSchedule(t *testing.T) {
 }
 
 // TestChaosSoakVectoredPath drives the vectored writev data plane
-// through a seeded fault schedule: a server with observability on and
-// multi-block batching enabled must deliver byte-identical content
-// through corruption and resets, with the client/server retry books
-// reconciled and every served block accounted to a vectored batch.
+// through a seeded fault schedule: a server with observability on must
+// deliver byte-identical content through corruption and resets, with
+// the client/server retry books reconciled and every served block
+// written as exactly one vectored header+payload write.
 func TestChaosSoakVectoredPath(t *testing.T) {
 	ds := dataset.NewGenerator(63).Uniform(10, 600*units.KB)
 	srvReg := obs.NewRegistry()
 	srv := synthServer(t, ds, func(c *proto.ServerConfig) {
 		c.Metrics = srvReg
 		c.BlockSize = 128 * 1024
-		c.MaxBatchBlocks = 4
 	})
 	reg := obs.NewRegistry()
 	schedule := chaos.SeededSchedule(7, 6, 3, 1<<20)
@@ -298,8 +297,8 @@ func TestChaosSoakVectoredPath(t *testing.T) {
 	if batches == 0 || blocks == 0 {
 		t.Fatalf("vectored path idle: batches=%d blocks=%d", batches, blocks)
 	}
-	if batches > blocks {
-		t.Errorf("writev_batches %d exceeds writev_blocks %d", batches, blocks)
+	if batches != blocks {
+		t.Errorf("writev_batches %d, want one per block (%d)", batches, blocks)
 	}
 	// Every block the server pushed left through a writev batch —
 	// including blocks re-served on retry, which is why blocks is

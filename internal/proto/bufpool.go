@@ -4,10 +4,11 @@ import "sync"
 
 // Block payload buffers on the real-TCP data path are recycled through
 // size-bucketed pools so the steady state moves blocks with no
-// per-block allocation: the server reads each block into a pooled
-// buffer, hands it to the stream writer that owns it until the bytes
-// are on the wire, and the writer returns it; each client stream loop
-// holds one pooled buffer for the lifetime of its connection.
+// per-block allocation: each server stream goroutine takes a pooled
+// buffer per block, reads, checksums and writes it, and returns it
+// before the next block; each client stream loop holds one pooled
+// buffer for the lifetime of its connection. No buffer crosses a
+// goroutine boundary.
 //
 // Buckets are power-of-two capacities from 64 KiB to 8 MiB. Bucketing
 // caps steady-state retention: a server run at a block size above
@@ -19,8 +20,7 @@ import "sync"
 // Ownership rules (see DESIGN.md §6):
 //
 //   - whoever calls getBlockBuf must arrange exactly one putBlockBuf,
-//     on every path including errors and drain-after-failure;
-//   - a buffer handed across a channel belongs to the receiver;
+//     on every path including errors;
 //   - payload slices handed to a Sink.WriteAt are only valid for the
 //     duration of the call — sinks must not retain them.
 const (

@@ -47,7 +47,7 @@ func gf2MatrixSquare(square, mat *crc32Op) {
 // state across a fixed number of zero bytes. Building one costs
 // O(log n) matrix squarings; applying it is a single matrix-vector
 // multiply (~32 XORs), so hot paths that combine many equal-length
-// blocks — the server's block-tiled serve loop — pay the expensive
+// blocks — the server's block-tiled serve path — pay the expensive
 // part once per length instead of once per block.
 type crc32Op [32]uint32
 

@@ -5,7 +5,7 @@ import "sync"
 // crcCache is the server's CRC-32C sidecar cache: for each file it
 // remembers the checksum of every block-size tile, keyed by the file's
 // identity (size + mtime from the store's Versioner extension). The
-// serve loop must read payload bytes regardless, but on a repeat serve
+// server must read payload bytes regardless, but on a repeat serve
 // of an unchanged file it skips re-hashing them — the cached tile CRCs
 // are combined into the whole-range checksum with the precomputed
 // advance operator instead. Tiles are the same shape the client's

@@ -43,17 +43,6 @@ type ServerConfig struct {
 	ControlRTT time.Duration
 	// BlockSize is the striping unit; DefaultBlockSize when zero.
 	BlockSize int
-	// MaxBatchBlocks caps how many queued blocks one writev gathers on
-	// an unshaped stream. Higher values amortize syscalls when a stream
-	// has backlog; 1 disables multi-block batching (each block is still
-	// one vectored header+payload write). Zero means the default (8).
-	// Shaped streams always write one block at a time so the limiters
-	// keep their pacing granularity.
-	MaxBatchBlocks int
-	// DisableCRCCache turns off the per-file CRC sidecar cache. The
-	// cache only activates for stores implementing Versioner; disabling
-	// it forces every serve to re-hash payload bytes.
-	DisableCRCCache bool
 	// DataDialTimeout bounds how long OPEN waits for the client's data
 	// connections to arrive.
 	DataDialTimeout time.Duration
@@ -76,13 +65,6 @@ func (c ServerConfig) blockSize() int {
 	return DefaultBlockSize
 }
 
-func (c ServerConfig) maxBatchBlocks() int {
-	if c.MaxBatchBlocks > 0 {
-		return c.MaxBatchBlocks
-	}
-	return 8
-}
-
 func (c ServerConfig) dialTimeout() time.Duration {
 	if c.DataDialTimeout > 0 {
 		return c.DataDialTimeout
@@ -103,10 +85,10 @@ type Server struct {
 	link *Limiter
 	inst serverInstruments
 
-	// crcSidecars caches per-file block CRCs across serves; nil when the
-	// cache is disabled. blockOp is the precomputed CRC advance operator
-	// for one full block, shared by every serve at the configured block
-	// size.
+	// crcSidecars caches per-file block CRCs across serves of stores
+	// that implement Versioner. blockOp is the precomputed CRC advance
+	// operator for one full block, shared by every serve at the
+	// configured block size.
 	crcSidecars *crcCache
 	blockOp     crc32Op
 
@@ -119,6 +101,7 @@ type Server struct {
 	nextSID  uint64
 	closed   bool
 	draining bool
+	idle     chan struct{} // set by Drain; closed when the last session leaves
 	wg       sync.WaitGroup
 }
 
@@ -184,10 +167,8 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 			crcCacheHits:     cfg.Metrics.Counter("server_crc_cache_hits"),
 			crcCacheMisses:   cfg.Metrics.Counter("server_crc_cache_misses"),
 		},
-		blockOp: makeCRC32Op(int64(cfg.blockSize())),
-	}
-	if !cfg.DisableCRCCache {
-		s.crcSidecars = newCRCCache(0)
+		crcSidecars: newCRCCache(0),
+		blockOp:     makeCRC32Op(int64(cfg.blockSize())),
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -250,21 +231,27 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 	s.draining = true
 	active := len(s.sessions)
+	// Draining admits no new session, so the count only falls from here:
+	// the session teardown that empties the map closes idle.
+	idle := make(chan struct{})
+	if active == 0 {
+		close(idle)
+	} else {
+		s.idle = idle
+	}
 	s.mu.Unlock()
 	s.cfg.Events.Emit(obs.EvServerDraining,
 		"active_sessions", active,
 		"timeout_ms", timeout.Milliseconds())
-	deadline := time.Now().Add(timeout)
-	remaining := 0
-	for {
-		s.mu.Lock()
-		remaining = len(s.sessions)
-		s.mu.Unlock()
-		if remaining == 0 || !time.Now().Before(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	select {
+	case <-idle:
+	case <-deadline.C:
 	}
+	s.mu.Lock()
+	remaining := len(s.sessions)
+	s.mu.Unlock()
 	s.cfg.Events.Emit(obs.EvServerDrained,
 		"remaining_sessions", remaining,
 		"forced", remaining > 0)
@@ -399,6 +386,10 @@ func (s *Server) runControl(conn net.Conn, br *bufio.Reader) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.sessions, sess.sid)
+		if s.idle != nil && len(s.sessions) == 0 {
+			close(s.idle)
+			s.idle = nil
+		}
 		s.mu.Unlock()
 		sess.close()
 		sess.span.End()
@@ -542,7 +533,10 @@ func (sess *serverSession) attachData(idx int, conn net.Conn) {
 }
 
 func (sess *serverSession) waitForStreams(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	// One timer for the whole wait; attachData wakes the loop through
+	// dataGot.
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
 		sess.dataMu.Lock()
 		have := 0
@@ -555,12 +549,10 @@ func (sess *serverSession) waitForStreams(n int, timeout time.Duration) error {
 		if have >= n {
 			return nil
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for %d data streams", n)
-		}
 		select {
 		case <-sess.dataGot:
-		case <-time.After(50 * time.Millisecond):
+		case <-deadline.C:
+			return fmt.Errorf("timed out waiting for %d data streams", n)
 		}
 	}
 }
@@ -577,10 +569,10 @@ func (sess *serverSession) streams() []net.Conn {
 	return out
 }
 
-// serveLoop handles GETs in arrival order. Each request is striped in
-// block-sized units round-robin across the session's data streams,
-// with a per-stream writer goroutine so slow streams do not stall fast
-// ones more than the striping requires.
+// serveLoop dispatches GETs one at a time, in arrival order. Each
+// request is striped in block-sized units round-robin across the
+// session's data streams, and serveGet runs one goroutine per stream
+// that reads, checksums and writes its own stripe.
 func (sess *serverSession) serveLoop(doneQueue *delayQueue[string]) {
 	for req := range sess.reqs {
 		start := time.Now()
@@ -604,118 +596,13 @@ func (sess *serverSession) serveLoop(doneQueue *delayQueue[string]) {
 	}
 }
 
-// queuedBlock is one block in flight from the serve loop to a stream
-// writer: the framing header plus the pooled payload buffer, which the
-// receiving writer owns (it returns it to the pool once the bytes are
-// written or dropped).
-type queuedBlock struct {
-	header blockHeader
-	buf    *[]byte
-}
-
-// collectBatch fills batch[:0] from q: it blocks for the first block,
-// then opportunistically drains blocks the serve loop already queued —
-// without blocking — up to max total. The bool reports whether q is
-// still open; a close observed mid-drain still returns the gathered
-// batch so the caller flushes it before exiting.
-func collectBatch(q <-chan queuedBlock, batch []queuedBlock, max int) ([]queuedBlock, bool) {
-	batch = batch[:0]
-	b, ok := <-q
-	if !ok {
-		return batch, false
-	}
-	batch = append(batch, b)
-	for len(batch) < max {
-		select {
-		case b, ok := <-q:
-			if !ok {
-				return batch, false
-			}
-			batch = append(batch, b)
-		default:
-			return batch, true
-		}
-	}
-	return batch, true
-}
-
 func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *delayQueue[string]) error {
 	streams := sess.streams()
 	if len(streams) == 0 {
 		return fmt.Errorf("no data streams attached")
 	}
-	blockSize := sess.srv.cfg.blockSize()
-
-	// Unshaped streams gather queue backlog into multi-block writev
-	// batches; shaped streams stay at one block per write so the
-	// limiters keep pacing at block granularity (the header+payload
-	// coalescing into a single vectored write applies either way).
-	maxBatch := 1
-	if sess.srv.cfg.PerStreamRate == 0 && sess.srv.cfg.LinkRate == 0 {
-		maxBatch = sess.srv.cfg.maxBatchBlocks()
-	}
-	queueDepth := 4
-	if maxBatch > queueDepth {
-		queueDepth = maxBatch
-	}
-
-	// Per-stream block queues and writer goroutines. Payloads ride in
-	// pooled buffers: the reader below fills one per block, and the
-	// writer that receives it owns it, so the steady-state path
-	// allocates nothing per block. Each batch becomes one writev:
-	// headers live in a per-writer slab and interleave with payloads in
-	// a net.Buffers that reaches the socket without flattening.
-	queues := make([]chan queuedBlock, len(streams))
-	errs := make([]error, len(streams))
-	var wg sync.WaitGroup
-	for i := range streams {
-		queues[i] = make(chan queuedBlock, queueDepth)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ssp := gsp.Child(span.NameServerStream, "stream", i)
-			defer ssp.End()
-			perStream := NewLimiter(sess.srv.cfg.PerStreamRate)
-			var dst io.Writer = streams[i]
-			if t := sess.srv.cfg.StallTimeout; t > 0 {
-				dst = &deadlineWriter{conn: streams[i], timeout: t}
-			}
-			w := shapedWriter{w: dst, limiters: []*Limiter{perStream, sess.srv.link}}
-			headers := make([]byte, maxBatch*blockHeaderSize)
-			batch := make([]queuedBlock, 0, maxBatch)
-			// scratch is the stable backing for each batch's vector;
-			// bufs is the consumable header copy handed to WriteBuffers
-			// (the write advances it, leaving scratch's capacity intact).
-			scratch := make(net.Buffers, 0, 2*maxBatch)
-			var bufs net.Buffers
-			for {
-				var open bool
-				batch, open = collectBatch(queues[i], batch, maxBatch)
-				if len(batch) > 0 && errs[i] == nil {
-					scratch = scratch[:0]
-					for j, b := range batch {
-						h := headers[j*blockHeaderSize : (j+1)*blockHeaderSize]
-						encodeBlockHeader(h, b.header)
-						scratch = append(scratch, h, *b.buf)
-					}
-					bufs = scratch
-					if n, err := w.WriteBuffers(&bufs); err != nil {
-						errs[i] = err
-					} else {
-						sess.srv.inst.writevBatches.Inc()
-						sess.srv.inst.writevBlocks.Add(int64(len(batch)))
-						ssp.AddBytes(n)
-					}
-				}
-				for _, b := range batch {
-					putBlockBuf(b.buf)
-				}
-				if !open {
-					return
-				}
-			}
-		}(i)
-	}
+	blockSize := int64(sess.srv.cfg.blockSize())
+	nblocks := int((req.Length + blockSize - 1) / blockSize)
 
 	// The whole-range CRC is built by combining per-block CRCs with the
 	// precomputed advance operator. When the store can vouch for the
@@ -723,74 +610,106 @@ func (sess *serverSession) serveGet(req getRequest, gsp *span.Span, doneQueue *d
 	// from (and feed) the sidecar cache, so repeat serves of an
 	// unchanged file skip the hash pass over payload bytes.
 	var sidecar *crcSidecar
-	if sess.srv.crcSidecars != nil && req.Offset%int64(blockSize) == 0 {
+	if req.Offset%blockSize == 0 {
 		if v, ok := sess.srv.cfg.Store.(Versioner); ok {
 			if size, mtime, ok := v.Version(req.Name); ok {
-				sidecar = sess.srv.crcSidecars.open(req.Name, size, mtime, blockSize)
+				sidecar = sess.srv.crcSidecars.open(req.Name, size, mtime, int(blockSize))
 			}
 		}
 	}
-	var crcState uint32
-	var tailOp crc32Op
-	tailLen := int64(-1)
-	var readErr error
-	offset := req.Offset
-	remaining := req.Length
-	for blockIdx := 0; remaining > 0; blockIdx++ {
-		n := int64(blockSize)
-		if n > remaining {
-			n = remaining
-		}
-		bufp := getBlockBuf(int(n))
-		payload := *bufp
-		//lint:allow bufown Store.ReadAt follows io.ReaderAt, which forbids retaining p
-		read, err := sess.srv.cfg.Store.ReadAt(req.Name, payload, offset)
-		if err != nil && !(errors.Is(err, io.EOF) && int64(read) == n) {
-			putBlockBuf(bufp)
-			readErr = fmt.Errorf("reading %s at %d: %w", req.Name, offset, err)
-			break
-		}
-		if int64(read) != n {
-			putBlockBuf(bufp)
-			readErr = fmt.Errorf("short read on %s at %d: %d of %d", req.Name, offset, read, n)
-			break
-		}
-		bcrc, cached := sidecar.lookup(offset, n)
-		if cached {
-			sess.srv.inst.crcCacheHits.Inc()
-		} else {
-			bcrc = crc32.Checksum(payload, crcTable)
-			if sidecar != nil {
-				sidecar.store(offset, n, bcrc)
-				sess.srv.inst.crcCacheMisses.Inc()
+
+	// Each stream serves its own round-robin stripe (blocks i, i+S,
+	// i+2S, ...) end to end: read into a pooled buffer, checksum, one
+	// vectored header+payload write, return the buffer. Store reads and
+	// hashing therefore spread across cores with the streams, and no
+	// pooled buffer leaves the goroutine that took it. Streams record
+	// block CRCs by index; the fold below runs once all have finished.
+	crcs := make([]uint32, nblocks)
+	errs := make([]error, len(streams))
+	var failed atomic.Bool // first error stops the other stripes
+	var wg sync.WaitGroup
+	for i := range streams {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ssp := gsp.Child(span.NameServerStream, "stream", i)
+			defer ssp.End()
+			var dst io.Writer = streams[i]
+			if t := sess.srv.cfg.StallTimeout; t > 0 {
+				dst = &deadlineWriter{conn: streams[i], timeout: t}
 			}
-		}
-		if n == int64(blockSize) {
-			crcState = sess.srv.blockOp.combine(crcState, bcrc)
-		} else {
-			if n != tailLen {
-				tailOp = makeCRC32Op(n)
-				tailLen = n
+			w := shapedWriter{w: dst, limiters: []*Limiter{NewLimiter(sess.srv.cfg.PerStreamRate), sess.srv.link}}
+			header := make([]byte, blockHeaderSize)
+			// scratch is the stable backing for each block's vector;
+			// bufs is the consumable copy handed to WriteBuffers (the
+			// write advances it, leaving scratch's capacity intact).
+			scratch := make(net.Buffers, 0, 2)
+			var bufs net.Buffers
+			// serveBlock reads, checksums and writes block b; its pooled
+			// payload buffer is returned before the call does.
+			serveBlock := func(b int) error {
+				offset := req.Offset + int64(b)*blockSize
+				n := req.Length - int64(b)*blockSize
+				if n > blockSize {
+					n = blockSize
+				}
+				bufp := getBlockBuf(int(n))
+				defer putBlockBuf(bufp)
+				payload := *bufp
+				//lint:allow bufown Store.ReadAt follows io.ReaderAt, which forbids retaining p
+				read, err := sess.srv.cfg.Store.ReadAt(req.Name, payload, offset)
+				if err != nil && !(errors.Is(err, io.EOF) && int64(read) == n) {
+					return fmt.Errorf("reading %s at %d: %w", req.Name, offset, err)
+				}
+				if int64(read) != n {
+					return fmt.Errorf("short read on %s at %d: %d of %d", req.Name, offset, read, n)
+				}
+				bcrc, cached := sidecar.lookup(offset, n)
+				if cached {
+					sess.srv.inst.crcCacheHits.Inc()
+				} else {
+					bcrc = crc32.Checksum(payload, crcTable)
+					if sidecar != nil {
+						sidecar.store(offset, n, bcrc)
+						sess.srv.inst.crcCacheMisses.Inc()
+					}
+				}
+				crcs[b] = bcrc
+				encodeBlockHeader(header, blockHeader{ReqID: req.ID, Offset: uint64(offset), Length: uint32(n)})
+				scratch = append(scratch[:0], header, payload)
+				bufs = scratch
+				wrote, err := w.WriteBuffers(&bufs)
+				if err != nil {
+					return err
+				}
+				sess.srv.inst.writevBatches.Inc()
+				sess.srv.inst.writevBlocks.Inc()
+				ssp.AddBytes(wrote)
+				return nil
 			}
-			crcState = tailOp.combine(crcState, bcrc)
-		}
-		queues[blockIdx%len(queues)] <- queuedBlock{
-			header: blockHeader{ReqID: req.ID, Offset: uint64(offset), Length: uint32(n)},
-			buf:    bufp,
-		}
-		offset += n
-		remaining -= n
-	}
-	for _, q := range queues {
-		close(q)
+			for b := i; b < nblocks && !failed.Load(); b += len(streams) {
+				if err := serveBlock(b); err != nil {
+					errs[i] = err
+					failed.Store(true)
+					return
+				}
+			}
+		}(i)
 	}
 	wg.Wait()
-	if readErr != nil {
-		return readErr
-	}
 	for _, err := range errs {
 		if err != nil {
 			return err
+		}
+	}
+
+	var crcState uint32
+	for b, bcrc := range crcs {
+		if n := req.Length - int64(b)*blockSize; n < blockSize {
+			tailOp := makeCRC32Op(n)
+			crcState = tailOp.combine(crcState, bcrc)
+		} else {
+			crcState = sess.srv.blockOp.combine(crcState, bcrc)
 		}
 	}
 	sess.srv.requestsDone.Add(1)

@@ -75,17 +75,11 @@ func (l *Limiter) waitFor(n float64) {
 	}
 }
 
-// shapedWriter throttles writes through every attached limiter.
+// shapedWriter throttles vectored writes through every attached
+// limiter.
 type shapedWriter struct {
 	w        io.Writer
 	limiters []*Limiter
-}
-
-func (s shapedWriter) Write(p []byte) (int, error) {
-	for _, l := range s.limiters {
-		l.Wait(len(p))
-	}
-	return s.w.Write(p)
 }
 
 // buffersWriter is the vectored-write seam of the data plane: writers

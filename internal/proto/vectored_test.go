@@ -99,51 +99,10 @@ func TestShapedWriterWriteBuffersZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestCollectBatch(t *testing.T) {
-	mkq := func(n int) chan queuedBlock {
-		q := make(chan queuedBlock, 16)
-		for i := 0; i < n; i++ {
-			q <- queuedBlock{header: blockHeader{ReqID: uint32(i)}}
-		}
-		return q
-	}
-
-	// Backlog is drained without blocking, capped at max.
-	q := mkq(5)
-	batch, open := collectBatch(q, nil, 3)
-	if !open || len(batch) != 3 {
-		t.Errorf("backlog drain: got %d blocks open=%v, want 3 true", len(batch), open)
-	}
-	for i, b := range batch {
-		if b.header.ReqID != uint32(i) {
-			t.Errorf("batch[%d] = req %d, want %d (order lost)", i, b.header.ReqID, i)
-		}
-	}
-	// The rest of the backlog is still there for the next call.
-	batch, open = collectBatch(q, batch, 3)
-	if !open || len(batch) != 2 {
-		t.Errorf("second drain: got %d blocks open=%v, want 2 true", len(batch), open)
-	}
-
-	// A close observed mid-drain still hands back the gathered batch.
-	q = mkq(2)
-	close(q)
-	batch, open = collectBatch(q, batch, 8)
-	if open || len(batch) != 2 {
-		t.Errorf("close mid-drain: got %d blocks open=%v, want 2 false", len(batch), open)
-	}
-
-	// Closed and empty terminates.
-	batch, open = collectBatch(q, batch, 8)
-	if open || len(batch) != 0 {
-		t.Errorf("closed empty: got %d blocks open=%v, want 0 false", len(batch), open)
-	}
-}
-
 func TestVectoredFetchCountsBatches(t *testing.T) {
-	// An unshaped loopback transfer must ship every block through the
-	// vectored path: blocks written == blocks served, and each batch is
-	// at least one block (so batches <= blocks).
+	// A loopback transfer must ship every block through the vectored
+	// path as exactly one header+payload writev: blocks written ==
+	// blocks served, and one write per block.
 	ds := dataset.NewGenerator(11).Uniform(4, 2*units.MB)
 	reg := obs.NewRegistry()
 	srv := synthServer(t, ds, func(c *ServerConfig) {
@@ -172,8 +131,8 @@ func TestVectoredFetchCountsBatches(t *testing.T) {
 	if blocks != wantBlocks {
 		t.Errorf("writev_blocks = %d, want %d", blocks, wantBlocks)
 	}
-	if batches == 0 || batches > blocks {
-		t.Errorf("writev_batches = %d, want in [1, %d]", batches, blocks)
+	if batches != blocks {
+		t.Errorf("writev_batches = %d, want one per block (%d)", batches, blocks)
 	}
 }
 
@@ -274,30 +233,36 @@ func TestCRCCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestCRCCacheDisabled(t *testing.T) {
+func TestCRCCacheBypassedForUnalignedRange(t *testing.T) {
+	// A range that starts mid-block has no block-aligned tiles to look
+	// up or store: it is served by hashing every block, the checksum
+	// still verifies, and the sidecar is never consulted.
 	ds := dataset.NewGenerator(5).Uniform(1, 512*units.KB)
 	reg := obs.NewRegistry()
 	srv := synthServer(t, ds, func(c *ServerConfig) {
 		c.Metrics = reg
-		c.DisableCRCCache = true
+		c.BlockSize = 64 * 1024
 	})
 	client := &Client{Addr: srv.Addr(), VerifyChecksums: true}
-	ch, err := client.OpenChannel(1)
+	ch, err := client.OpenChannel(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ch.Close()
-	for i := 0; i < 2; i++ {
-		sink := NewVerifySink()
-		if _, err := ch.Fetch(ds.Files, 1, sink); err != nil {
-			t.Fatal(err)
-		}
-		if bad := sink.Corrupt(); len(bad) > 0 {
-			t.Errorf("fetch %d corrupted: %v", i, bad)
-		}
+	r := FileRange{File: ds.Files[0], Offset: 64*1024 + 1000}
+	sink := NewVerifySink()
+	res, err := ch.FetchRanges([]FileRange{r}, 1, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Bytes != r.Remaining() {
+		t.Errorf("moved %v, want %v", res.Bytes, r.Remaining())
+	}
+	if bad := sink.Corrupt(); len(bad) > 0 {
+		t.Errorf("mid-block range corrupted: %v", bad)
 	}
 	if h, m := reg.Counter("server_crc_cache_hits").Value(), reg.Counter("server_crc_cache_misses").Value(); h != 0 || m != 0 {
-		t.Errorf("disabled cache counted hits=%d misses=%d, want 0/0", h, m)
+		t.Errorf("unaligned range counted hits=%d misses=%d, want 0/0", h, m)
 	}
 }
 
