@@ -19,6 +19,7 @@ package eta_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"path/filepath"
 	"testing"
@@ -286,7 +287,17 @@ func BenchmarkLoopbackTraced(b *testing.B) {
 // writes issued per block served, which is 1.0 because every block is
 // exactly one header+payload writev — and crc_hit_pct, the share of
 // blocks whose checksum came from the sidecar instead of a hash pass.
-func BenchmarkLoopbackVectored(b *testing.B) {
+func BenchmarkLoopbackVectored(b *testing.B) { benchVectored(b, 4) }
+
+// BenchmarkVectoredStreams is BenchmarkLoopbackVectored at 1, 2, 4 and
+// 8 striped streams: the stream-scaling curve of the data plane.
+func BenchmarkVectoredStreams(b *testing.B) {
+	for _, n := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("streams=%d", n), func(b *testing.B) { benchVectored(b, n) })
+	}
+}
+
+func benchVectored(b *testing.B, streams int) {
 	ds := dataset.NewGenerator(1).Uniform(16, 4*units.MB)
 	reg := obs.NewRegistry()
 	srv, err := proto.ListenAndServe("127.0.0.1:0", proto.ServerConfig{
@@ -298,7 +309,7 @@ func BenchmarkLoopbackVectored(b *testing.B) {
 	}
 	defer srv.Close()
 	client := &proto.Client{Addr: srv.Addr()}
-	ch, err := client.OpenChannel(4)
+	ch, err := client.OpenChannel(streams)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,6 +21,8 @@ import (
 
 // constantPower is a fake cumulative energy source that also records
 // the energy_model_sample curve the flight recorder attributes from.
+// Like monitor.ModelSource, the first Total primes it: the count starts
+// there, reads 0 and emits no sample.
 type constantPower struct {
 	start time.Time
 	watts float64
@@ -28,6 +30,10 @@ type constantPower struct {
 }
 
 func (c *constantPower) Total() (units.Joules, error) {
+	if c.start.IsZero() {
+		c.start = time.Now()
+		return 0, nil
+	}
 	j := c.watts * time.Since(c.start).Seconds()
 	c.log.Emit(obs.EvEnergyModel, "joules_total", j, "watts", c.watts)
 	return units.Joules(j), nil
@@ -59,7 +65,7 @@ func recordTracedRun(t *testing.T) string {
 	exec := &proto.Executor{
 		Client: &proto.Client{Addr: srv.Addr(), Counters: &proto.Counters{}},
 		Sink:   proto.NewVerifySink(),
-		Energy: &constantPower{start: time.Now(), watts: 35, log: events},
+		Energy: &constantPower{watts: 35, log: events},
 		Environment: transfer.Environment{
 			Path: netem.Path{
 				Bandwidth:       1 * units.Gbps,

@@ -62,10 +62,10 @@ type Client struct {
 	// budget.
 	VerifyChecksums bool
 	// BlockSize is the striping unit the server is expected to use; it
-	// sizes each stream's read buffer and pooled payload buffer so a
-	// whole block is absorbed without splitting reads. DefaultBlockSize
-	// when zero. A mismatch is only a performance miss: a larger server
-	// block is handled by growing the payload buffer on arrival.
+	// sizes each stream's pooled payload buffer so a whole block is
+	// read straight into it. DefaultBlockSize when zero. A mismatch is
+	// only a performance miss: a larger server block is handled by
+	// growing the payload buffer on arrival.
 	BlockSize int
 	// StallTimeout arms the per-channel stall watchdog: when requests
 	// are outstanding and no bytes arrive on any of the channel's
@@ -580,11 +580,14 @@ func (ch *Channel) streamLoop(conn net.Conn) {
 	// the channel's payload, its duration the stream's useful lifetime.
 	ssp := ch.span.Child(span.NameChannelStream)
 	defer ssp.End()
-	// The read buffer matches the expected block size so a full block
-	// (header + payload) is absorbed in a couple of reads instead of
-	// fragmenting across many smaller ones.
+	// The read buffer is bufio's default 4 KiB, sized for headers, not
+	// blocks. The header read also buffers the first payload bytes;
+	// after those, bufio hands every payload read of at least 4 KiB
+	// straight to conn, so the payload lands in the pooled block buffer
+	// without a copy through the reader. Reads still pass through the
+	// progressConn, so the stall watchdog sees every byte.
 	//lint:allow deadlineio conn is a progressConn counted by the stall watchdog, which closes it when progress stops
-	br := bufio.NewReaderSize(conn, ch.client.blockSize())
+	br := bufio.NewReader(conn)
 	// One pooled payload buffer and one header scratch per stream for
 	// the connection's lifetime: the steady-state receive path never
 	// allocates per block, and short-lived channels (dial, fetch,

@@ -473,12 +473,16 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 	}
 	var window []inflight
 
+	// Deferred calls run last-in first-out: wg.Done is registered first
+	// so it runs after the channel has closed, and Executor.Run never
+	// returns while a worker's Channel.Close is still ending spans and
+	// emitting events.
+	defer s.wg.Done()
 	defer func() {
 		if ch != nil {
 			ch.Close()
 		}
 	}()
-	defer s.wg.Done()
 
 	// requeueWindow sends every outstanding range back for another
 	// attempt (or fails the session when one is out of retries).
@@ -521,6 +525,10 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 			return false
 		}
 		backoff := 5 * time.Millisecond
+		// One timer for the whole loop, stopped on return: a
+		// time.After per attempt would stay live until it fired. It is
+		// only Reset after its channel has been drained.
+		var wait *time.Timer
 		for {
 			next, err := s.exec.Client.OpenChannel(maxI(1, w.chunk.plan.Parallelism()))
 			if err == nil {
@@ -542,6 +550,12 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 				rsp.End("error", err.Error())
 				return false
 			}
+			if wait == nil {
+				wait = time.NewTimer(backoff)
+				defer wait.Stop()
+			} else {
+				wait.Reset(backoff)
+			}
 			select {
 			case <-w.stop:
 				// Teardown while the server is unreachable: the window
@@ -549,10 +563,14 @@ func (s *realSession) runWorker(w *realWorker, ch *Channel) {
 				rsp.End("error", "worker stopped")
 				return false
 			case <-s.ctxDone():
+			case <-wait.C:
+			}
+			// The backoff may win the select against a cancellation that
+			// is already due; cancellation takes precedence.
+			if s.ctx != nil && s.ctx.Err() != nil {
 				s.fail(s.ctx.Err())
 				rsp.End("error", s.ctx.Err().Error())
 				return false
-			case <-time.After(backoff):
 			}
 			if backoff *= 2; backoff > redialBackoffCap {
 				backoff = redialBackoffCap

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io/fs"
@@ -163,20 +164,53 @@ func (s *SynthStore) ReadAt(name string, p []byte, off int64) (int, error) {
 
 // FillSynth writes the canonical synthetic content of file `name` at
 // `off` into p. The generator is a per-8-byte-lane xorshift seeded from
-// the name hash and the lane index, so content is O(1)-seekable.
+// the name hash and the lane index, so content is O(1)-seekable. Lanes
+// are mixed once and stored whole; only a partial head or tail lane
+// (misaligned off or len(p)) goes through an 8-byte scratch.
 func FillSynth(name string, off int64, p []byte) {
-	seed := int64(nameHash(name))
-	for i := range p {
-		pos := off + int64(i)
-		lane := pos >> 3
-		x := uint64(seed) ^ uint64(lane)*0x9E3779B97F4A7C15
-		x ^= x >> 33
-		x *= 0xFF51AFD7ED558CCD
-		x ^= x >> 33
-		var lanes [8]byte
-		binary.LittleEndian.PutUint64(lanes[:], x)
-		p[i] = lanes[pos&7]
+	seed := nameHash(name)
+	lane := uint64(off >> 3)
+	var tmp [8]byte
+	if k := off & 7; k != 0 && len(p) > 0 {
+		binary.LittleEndian.PutUint64(tmp[:], synthLane(seed, lane))
+		p = p[copy(p, tmp[k:]):]
+		lane++
 	}
+	for ; len(p) >= 8; lane++ {
+		binary.LittleEndian.PutUint64(p, synthLane(seed, lane))
+		p = p[8:]
+	}
+	if len(p) > 0 {
+		binary.LittleEndian.PutUint64(tmp[:], synthLane(seed, lane))
+		copy(p, tmp[:])
+	}
+}
+
+// synthLane is the mix behind FillSynth: the 8 content bytes of lane
+// `lane` (file bytes 8*lane to 8*lane+7), little-endian.
+func synthLane(seed, lane uint64) uint64 {
+	x := seed ^ lane*0x9E3779B97F4A7C15
+	x ^= x >> 33
+	x *= 0xFF51AFD7ED558CCD
+	x ^= x >> 33
+	return x
+}
+
+// synthMatches reports whether p is the synthetic content of name at
+// off. It regenerates the content in stack-sized pieces, so verifying
+// a block allocates nothing.
+func synthMatches(name string, off int64, p []byte) bool {
+	var want [1024]byte
+	for len(p) > 0 {
+		n := min(len(p), len(want))
+		FillSynth(name, off, want[:n])
+		if !bytes.Equal(p[:n], want[:n]) {
+			return false
+		}
+		p = p[n:]
+		off += int64(n)
+	}
+	return true
 }
 
 // nameHash is a stable FNV-1a over the file name.
@@ -398,15 +432,7 @@ func NewVerifySink() *VerifySink {
 
 // WriteAt implements Sink, comparing against FillSynth.
 func (s *VerifySink) WriteAt(name string, p []byte, off int64) (int, error) {
-	want := make([]byte, len(p))
-	FillSynth(name, off, want)
-	ok := true
-	for i := range p {
-		if p[i] != want[i] {
-			ok = false
-			break
-		}
-	}
+	ok := synthMatches(name, off, p)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !ok {

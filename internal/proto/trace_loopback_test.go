@@ -16,6 +16,8 @@ import (
 // fakeModelEnergy mimics monitor.ModelSource for tracing tests: a
 // constant-power cumulative source that emits an energy_model_sample
 // event (the curve the offline attribution replays) on every Total.
+// Like ModelSource, the first Total primes it: the count starts there,
+// reads 0 and emits no sample.
 type fakeModelEnergy struct {
 	start time.Time
 	watts float64
@@ -23,6 +25,10 @@ type fakeModelEnergy struct {
 }
 
 func (f *fakeModelEnergy) Total() (units.Joules, error) {
+	if f.start.IsZero() {
+		f.start = time.Now()
+		return 0, nil
+	}
 	j := f.watts * time.Since(f.start).Seconds()
 	f.log.Emit(obs.EvEnergyModel, "joules_total", j, "watts", f.watts)
 	return units.Joules(j), nil
@@ -56,7 +62,7 @@ func TestTracedLoopback(t *testing.T) {
 		c.Events = events
 		c.Trace = tracer
 	})
-	energy := &fakeModelEnergy{start: time.Now(), watts: 42, log: events}
+	energy := &fakeModelEnergy{watts: 42, log: events}
 	exec := &Executor{
 		Client:      &Client{Addr: srv.Addr(), Counters: &Counters{}, VerifyChecksums: true},
 		Sink:        NewVerifySink(),

@@ -52,13 +52,17 @@ func (ch *Channel) watchdog(timeout time.Duration) {
 	if period < time.Millisecond {
 		period = time.Millisecond
 	}
+	// One ticker for the watchdog's lifetime: a time.After per check
+	// would leave a live timer behind on every return through watchStop.
+	tick := time.NewTicker(period)
+	defer tick.Stop()
 	last := int64(-1)
 	var idle time.Duration
 	for {
 		select {
 		case <-ch.watchStop:
 			return
-		case <-time.After(period):
+		case <-tick.C:
 		}
 		cur := ch.progress.Load()
 		ch.mu.Lock()
